@@ -59,22 +59,19 @@ def main() -> int:
           f"(soundness: no false positives, ever)")
     assert not res.value
 
-    # Girth's Boolean products ride the array-native §2.2 engine; the
-    # retained tuple formulation must charge the identical round count.
+    # Girth's Boolean products ride the §2.2 engine; its product must equal
+    # the centralised one.
     from repro.clique import CongestedClique
-    from repro.matmul.bilinear_clique import bilinear_matmul, bilinear_matmul_tuple
+    from repro.matmul.bilinear_clique import bilinear_matmul
     from repro.matmul.layout import next_square
     from repro.runtime import pad_matrix
 
     nsq = next_square(planted.n)
     adj = pad_matrix(planted.adjacency, nsq)
-    array_clique, tuple_clique = CongestedClique(nsq), CongestedClique(nsq)
-    p_array = bilinear_matmul(array_clique, adj, adj)
-    p_tuple = bilinear_matmul_tuple(tuple_clique, adj, adj)
-    assert (p_array == p_tuple).all()
-    assert array_clique.rounds == tuple_clique.rounds
-    print(f"engine check: bilinear array path rounds == tuple path rounds"
-          f" ({array_clique.rounds})")
+    clique = CongestedClique(nsq)
+    assert (bilinear_matmul(clique, adj, adj) == adj @ adj).all()
+    print(f"engine check: bilinear product == centralised A @ A"
+          f" ({clique.rounds} rounds)")
     return 0
 
 

@@ -23,11 +23,9 @@ so the crossovers in Table 1 are measured rather than asserted.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.clique.messages import words_for_array
+from repro.clique.messages import block_widths
 from repro.clique.model import CongestedClique, ScheduleMode
 from repro.graphs.graphs import Graph
 from repro.runtime import RunResult, or_broadcast, sum_broadcast
@@ -36,6 +34,65 @@ from repro.runtime import RunResult, or_broadcast, sum_broadcast
 def _contiguous_groups(n: int, count: int) -> list[np.ndarray]:
     """Split ``0..n-1`` into ``count`` contiguous, nearly equal groups."""
     return [np.asarray(g, dtype=np.int64) for g in np.array_split(np.arange(n), count)]
+
+
+def _distribute_slices(
+    clique: CongestedClique,
+    a: np.ndarray,
+    groups: list[np.ndarray],
+    pairs: list[tuple[tuple[int, int], ...]],
+    phase: str,
+):
+    """Route every row slice a group tuple needs to the tuple's owner.
+
+    Tuple ``t`` is owned by node ``t mod n`` (round-robin) and needs, for
+    each of its group pairs ``pairs[t][k] = (ga, gb)``, the slice
+    ``A[u, V_gb]`` from every row owner ``u`` in ``V_ga``.  Slices are
+    zero-padded to the largest group so all pieces share one shape, tagged
+    ``t * len(pairs[t]) + k``, and charged the width of the unpadded slice
+    (at least one word).
+
+    Returns ``received(v, t, k)``: the ``(|V_ga|, |V_gb|)`` block owner
+    ``v`` of tuple ``t`` assembled from its inbox.
+    """
+    slots = len(pairs[0])
+    side = max(g.size for g in groups)
+    src, dst, tags, pieces, widths = [], [], [], [], []
+    for t_idx, tuple_pairs in enumerate(pairs):
+        for k, (ga, gb) in enumerate(tuple_pairs):
+            rows = groups[ga]
+            block = a[np.ix_(rows, groups[gb])]
+            padded = np.zeros((rows.size, side), dtype=np.int64)
+            padded[:, : block.shape[1]] = block
+            src.append(rows)
+            dst.append(np.full(rows.size, t_idx % clique.n, dtype=np.int64))
+            tags.append(np.full(rows.size, t_idx * slots + k, dtype=np.int64))
+            pieces.append(padded)
+            widths.append(np.maximum(1, block_widths(block, clique.word_bits)))
+    # Group the pieces by sender; each keeps its (tuple, slot) order.
+    senders = np.concatenate(src)
+    order = np.argsort(senders, kind="stable")
+    bounds = np.searchsorted(senders[order], np.arange(clique.n + 1))
+
+    def per_node(chunks: list[np.ndarray]) -> list[np.ndarray]:
+        flat = np.concatenate(chunks)[order]
+        return [flat[bounds[v] : bounds[v + 1]] for v in range(clique.n)]
+
+    inboxes = clique.route_array(
+        per_node(dst),
+        per_node(pieces),
+        widths=per_node(widths),
+        tags=per_node(tags),
+        phase=phase,
+    )
+
+    def received(v: int, t_idx: int, k: int) -> np.ndarray:
+        # One piece per row owner, in ascending sender (= row) order.
+        inbox = inboxes[v]
+        gb = pairs[t_idx][k][1]
+        return inbox.blocks[inbox.tags == t_idx * slots + k][:, : groups[gb].size]
+
+    return received
 
 
 def dolev_triangle_count(
@@ -52,46 +109,23 @@ def dolev_triangle_count(
     q = max(1, round(n ** (1.0 / 3.0)))
     groups = _contiguous_groups(n, q)
     triples = [(i, j, k) for i in range(q) for j in range(q) for k in range(q)]
-    # Round-robin triple ownership: node v handles triples v, v + n, ...
-    owner = {t: idx % clique.n for idx, t in enumerate(triples)}
-
-    # Each row owner ships its row slice A[u, V_b] to every triple that
-    # needs the pair (group(u), b) in one of its three slots.
-    group_of = np.zeros(n, dtype=np.int64)
-    for g_idx, members in enumerate(groups):
-        group_of[members] = g_idx
-    a = graph.adjacency
-    outboxes: list[list[tuple[int, object, int]]] = [[] for _ in range(clique.n)]
-    for t_idx, t in enumerate(triples):
-        i, j, k = t
-        dest = owner[t]
-        for pair_tag, (ga, gb) in enumerate(((i, j), (j, k), (i, k))):
-            for u in groups[ga]:
-                piece = a[u][groups[gb]]
-                width = max(1, words_for_array(piece, clique.word_bits))
-                outboxes[int(u)].append(
-                    (dest, (t_idx, pair_tag, int(u), piece), width)
-                )
-    inboxes = clique.route(outboxes, phase="dolev-tri/distribute")
+    received = _distribute_slices(
+        clique,
+        graph.adjacency,
+        groups,
+        [((i, j), (j, k), (i, k)) for i, j, k in triples],
+        phase="dolev-tri/distribute",
+    )
 
     local_counts = [0] * clique.n
     for v in range(clique.n):
-        if not inboxes[v]:
-            continue
-        per_triple: dict[tuple[int, int], dict[int, np.ndarray]] = {}
-        for _src, (t_idx, pair_tag, u, piece) in inboxes[v]:
-            per_triple.setdefault((t_idx, pair_tag), {})[u] = piece
-        # Re-identify which triples this node owns and count each.
-        count = 0
-        for t_idx, t in enumerate(triples):
-            if owner[t] != v:
-                continue
-            i, j, k = t
-            ab = np.array([per_triple[(t_idx, 0)][int(u)] for u in groups[i]])
-            bc = np.array([per_triple[(t_idx, 1)][int(u)] for u in groups[j]])
-            ac = np.array([per_triple[(t_idx, 2)][int(u)] for u in groups[i]])
-            count += _count_ordered_triangles(groups[i], groups[j], groups[k], ab, bc, ac)
-        local_counts[v] = count
+        # Node v owns triples v, v + n, v + 2n, ...
+        for t_idx in range(v, len(triples), clique.n):
+            i, j, k = triples[t_idx]
+            ab, bc, ac = (received(v, t_idx, slot) for slot in range(3))
+            local_counts[v] += _count_ordered_triangles(
+                groups[i], groups[j], groups[k], ab, bc, ac
+            )
     total = sum_broadcast(clique, local_counts, phase="dolev-tri/sum", words=3)
     return RunResult(
         value=total,
@@ -150,38 +184,20 @@ def dolev_four_cycle_detect(
         for k in range(r)
         for l in range(r)
     ]
-    owner = {t: idx % clique.n for idx, t in enumerate(tuples)}
-    a = graph.adjacency
-
-    outboxes: list[list[tuple[int, object, int]]] = [[] for _ in range(clique.n)]
-    for t_idx, t in enumerate(tuples):
-        i, j, k, l = t
-        dest = owner[t]
-        # The cycle's four bipartite edge sets: (i,j), (j,k), (k,l), (l,i).
-        for pair_tag, (ga, gb) in enumerate(((i, j), (j, k), (k, l), (l, i))):
-            for u in groups[ga]:
-                piece = a[u][groups[gb]]
-                width = max(1, words_for_array(piece, clique.word_bits))
-                outboxes[int(u)].append(
-                    (dest, (t_idx, pair_tag, int(u), piece), width)
-                )
-    inboxes = clique.route(outboxes, phase="dolev-c4/distribute")
+    # The cycle's four bipartite edge sets: (i,j), (j,k), (k,l), (l,i).
+    received = _distribute_slices(
+        clique,
+        graph.adjacency,
+        groups,
+        [((i, j), (j, k), (k, l), (l, i)) for i, j, k, l in tuples],
+        phase="dolev-c4/distribute",
+    )
 
     found = [False] * clique.n
     for v in range(clique.n):
-        if not inboxes[v]:
-            continue
-        per: dict[tuple[int, int], dict[int, np.ndarray]] = {}
-        for _src, (t_idx, pair_tag, u, piece) in inboxes[v]:
-            per.setdefault((t_idx, pair_tag), {})[u] = piece
-        for t_idx, t in enumerate(tuples):
-            if owner[t] != v:
-                continue
-            i, j, k, l = t
-            ab = np.array([per[(t_idx, 0)][int(u)] for u in groups[i]])
-            bc = np.array([per[(t_idx, 1)][int(u)] for u in groups[j]])
-            cd = np.array([per[(t_idx, 2)][int(u)] for u in groups[k]])
-            da = np.array([per[(t_idx, 3)][int(u)] for u in groups[l]])
+        for t_idx in range(v, len(tuples), clique.n):
+            i, j, k, l = tuples[t_idx]
+            ab, bc, cd, da = (received(v, t_idx, slot) for slot in range(4))
             if _tuple_has_c4(groups[i], groups[k], j == l, ab, bc, cd, da):
                 found[v] = True
                 break

@@ -9,7 +9,6 @@ consistent (and honest) widths for the arrays it ships.
 from __future__ import annotations
 
 import math
-from typing import Any
 
 import numpy as np
 
@@ -60,8 +59,8 @@ def bit_lengths(values: np.ndarray) -> np.ndarray:
 def words_for_values(max_abs: np.ndarray, word_bits: int) -> np.ndarray:
     """Vectorised :func:`words_for_value`: words per entry, elementwise.
 
-    Agrees exactly with the scalar helper (property-tested), so array-native
-    primitives charge bit-identical widths to the tuple path.
+    Agrees exactly with the scalar helper (property-tested), so batch
+    widths equal the per-array widths of :func:`words_for_array`.
     """
     bits = 1 + np.maximum(1, bit_lengths(max_abs))
     return np.maximum(1, -(-bits // word_bits))
@@ -112,53 +111,23 @@ def words_for_array(arr: np.ndarray, word_bits: int) -> int:
     return int(arr.size) * words_for_value(max_abs, word_bits)
 
 
-def _check_payload(node: int, payload: Any) -> None:
-    """Reject payloads no fixed-width word encoding exists for.
+def word_blocks(node: int, blocks) -> np.ndarray:
+    """Node ``node``'s piece stack as ``int64`` words, refusing non-words.
 
-    Words are integers in this model; a NaN/inf float or an object-dtype
-    array has no honest word width, so it must die here with the offending
-    node named, not downstream as an opaque numpy cast error.
+    Words are integers in this model: bool and integer dtypes (including
+    the packed ``uint64`` bitsets, reinterpreted bit for bit) pass.  A
+    float, complex or object block has no honest word encoding -- cast to
+    ``int64`` it would silently truncate, or turn NaN into ``-2**63`` -- so
+    it dies here with the offending node named.  An empty stack carries no
+    words, so its dtype does not matter.
     """
-    if isinstance(payload, float) and not math.isfinite(payload):
+    arr = np.asarray(blocks)
+    if arr.dtype.kind not in "biu" and arr.size:
         raise ValueError(
-            f"node {node}: non-finite payload {payload!r} has no word encoding"
+            f"node {node}: {arr.dtype} blocks have no word encoding "
+            "(ship bool or integer pieces)"
         )
-    if isinstance(payload, np.ndarray):
-        if payload.dtype == object:
-            raise ValueError(
-                f"node {node}: object-dtype payload array (ship fixed-width "
-                "words, not Python objects)"
-            )
-        if np.issubdtype(payload.dtype, np.inexact) and not np.isfinite(payload).all():
-            raise ValueError(
-                f"node {node}: non-finite entries (NaN/inf) in payload array"
-            )
-
-
-def validate_outboxes(
-    outboxes: list[list[tuple[int, Any, int]]], n: int, allow_self: bool = False
-) -> None:
-    """Check the structural validity of a per-node outbox list.
-
-    Each ``outboxes[v]`` is a list of ``(dst, payload, words)`` triples: the
-    messages node ``v`` wants delivered.  Raises ``ValueError`` on malformed
-    input (the caller wraps into :class:`~repro.errors.CliqueModelError`),
-    always naming the offending node.
-    """
-    if len(outboxes) != n:
-        raise ValueError(f"expected {n} outboxes, got {len(outboxes)}")
-    for v, box in enumerate(outboxes):
-        for item in box:
-            if len(item) != 3:
-                raise ValueError(f"node {v}: outbox item must be (dst, payload, words)")
-            dst, payload, words = item
-            if not (0 <= dst < n):
-                raise ValueError(f"node {v}: destination {dst} out of range")
-            if dst == v and not allow_self:
-                raise ValueError(f"node {v}: self-addressed message")
-            if words <= 0:
-                raise ValueError(f"node {v}: non-positive word count {words}")
-            _check_payload(v, payload)
+    return arr.astype(np.int64, copy=False)
 
 
 __all__ = [
@@ -169,5 +138,5 @@ __all__ = [
     "words_for_values",
     "words_for_array",
     "block_widths",
-    "validate_outboxes",
+    "word_blocks",
 ]

@@ -5,34 +5,36 @@ algorithms are written against, with every primitive metering its cost in
 synchronous rounds under the model's bandwidth constraint (one ``O(log n)``
 bit word per ordered node pair per round):
 
-* :meth:`CongestedClique.broadcast` -- every node sends the same words to all
-  others; ``w`` words cost ``max(w)`` rounds.
-* :meth:`CongestedClique.send` -- direct point-to-point exchange; costs the
-  maximum per-pair word count.
-* :meth:`CongestedClique.route` -- Lenzen-routed exchange [46]; costs
+* :meth:`CongestedClique.broadcast` / :meth:`CongestedClique.broadcast_rows`
+  -- every node sends the same words to all others; ``w`` words cost
+  ``max(w)`` rounds.
+* :meth:`CongestedClique.route_array` -- Lenzen-routed exchange [46]; costs
   ``2 * ceil(L / n)`` rounds for maximum per-node load ``L``.  In
   ``ScheduleMode.EXACT`` the full relay schedule is materialised and
-  validated; in ``ScheduleMode.FAST`` the closed form is charged.
-* :meth:`CongestedClique.transpose` -- the classic one-round transpose: node
-  ``v`` sends entry ``u`` of its row to node ``u``.
-* :meth:`CongestedClique.allgather_records` -- the "learn everything"
-  primitive of Dolev et al. [24]: replicate ``R`` fixed-width records to all
-  nodes in ``O(R / n)`` rounds.
+  validated; in ``ScheduleMode.FAST`` the closed form is charged.  Its
+  planned-delivery variant :meth:`CongestedClique.route_array_take`
+  gathers inboxes by a precomputed index vector into a caller-owned
+  buffer (what the arena-backed engine sessions use).
+* :meth:`CongestedClique.send_array` -- direct point-to-point exchange;
+  costs the maximum per-pair word count.
+* :meth:`CongestedClique.transpose_array` -- the classic one-round
+  transpose: node ``v`` sends entry ``u`` of its row to node ``u``.
+* :meth:`CongestedClique.scatter_blocks` /
+  :meth:`CongestedClique.gather_blocks` -- block all-to-alls.
+* :meth:`CongestedClique.allgather_rows` -- the "learn everything"
+  primitive of Dolev et al. [24]: replicate ``R`` fixed-width records to
+  all nodes in ``O(R / n)`` rounds.
 
-Each exchange primitive also has an **array-native fast path** --
-:meth:`CongestedClique.broadcast_rows`, :meth:`CongestedClique.route_array`
-(and its planned-delivery variant :meth:`CongestedClique.route_array_take`,
-which gathers inboxes by a precomputed index vector into a caller-owned
-buffer -- what the arena-backed engine sessions use),
-:meth:`CongestedClique.send_array`, :meth:`CongestedClique.transpose_array`,
-the block all-to-alls :meth:`CongestedClique.scatter_blocks` /
-:meth:`CongestedClique.gather_blocks` and the record replication
-:meth:`CongestedClique.allgather_rows` -- that moves whole ``int64``
-row-blocks as single NumPy arrays with vectorised load accounting instead
-of per-payload Python tuples.  The fast path charges bit-identical round
-counts to the tuple path for the same logical exchange; it exists purely to
-make the simulator's wall-clock scale (the hot matmul engines are written
-against it).
+Exchanges move whole ``int64`` piece stacks as single NumPy arrays, with
+vectorised load accounting.  Every piece-batch exchange (``route_array``,
+``route_array_take``, ``send_array`` and the collectives built on them)
+funnels through one flatten/charge/deliver path and one
+delivery-interception seam (:meth:`CongestedClique._tamper_batch`), which
+the fault layer overrides; ``transpose_array`` charges its fixed pattern
+in closed form and hands back ``matrix.T`` without passing that seam.
+The object :meth:`CongestedClique.broadcast` is the one primitive that
+carries Python payloads; it shares its charge with
+:meth:`CongestedClique.broadcast_rows`.
 
 Algorithms written on top keep **node-local state in per-node containers**
 (lists indexed by node id) and only exchange data through these primitives;
@@ -55,18 +57,11 @@ from repro.clique.accounting import (
     PhaseTraffic,
 )
 from repro.clique.executor import SERIAL_EXECUTOR, LocalExecutor
-from repro.clique.messages import (
-    block_widths,
-    default_word_bits,
-    validate_outboxes,
-)
+from repro.clique.messages import block_widths, default_word_bits, word_blocks
 from repro.clique.routing import (
     ArrayInbox,
     FlatInboxes,
-    Outboxes,
-    analyze,
     analyze_array,
-    deliver,
     deliver_array,
     deliver_array_flat,
     enforce_load_bound,
@@ -101,7 +96,7 @@ class CongestedClique:
         n: number of nodes (node ids are ``0 .. n-1``).
         word_bits: message word size in bits; defaults to
             ``max(16, 2 ceil(log2 n))`` -- the model's ``Theta(log n)``.
-        mode: schedule mode for :meth:`route` (FAST or EXACT).
+        mode: schedule mode for routed exchanges (FAST or EXACT).
         executor: the :class:`~repro.clique.executor.LocalExecutor` engines
             run their per-node block products on; defaults to the serial
             in-process backend.  Executors never touch the meter, so the
@@ -209,7 +204,7 @@ class CongestedClique:
     def _broadcast_cost(self, widths: list[int], phase: str) -> PhaseCost:
         """The :class:`PhaseCost` of one all-to-all broadcast (not charged).
 
-        Shared by the tuple and array broadcast paths so both charge
+        Shared by the object and row broadcasts so both charge
         bit-identical costs for identical widths; exposed separately from
         :meth:`_charge_broadcast` so the encoded collectives
         (:mod:`repro.faults`) can account the same exchange on two meters.
@@ -287,124 +282,14 @@ class CongestedClique:
         topology = getattr(self.transport, "topology", None)
         return relay_schedule(demand, self.n, topology)
 
-    def _demand_traffic(
-        self, demand, kind: str, *, relayed: bool, schedule=None
-    ) -> PhaseTraffic | None:
-        if not self.meters.wants_traffic:
-            return None
-        items = sorted(demand.items())
-        count = len(items)
-        return PhaseTraffic(
-            n=self.n,
-            kind=kind,
-            src=np.fromiter((u for (u, _v), _c in items), np.int64, count),
-            dst=np.fromiter((v for (_u, v), _c in items), np.int64, count),
-            widths=np.fromiter((c for _pair, c in items), np.int64, count),
-            relayed=relayed,
-            schedule=schedule,
-        )
-
-    def send(
-        self,
-        outboxes: Outboxes,
-        *,
-        phase: str = "send",
-        expect_max_pair: int | None = None,
-    ) -> list[list[tuple[int, Any]]]:
-        """Direct exchange: every message travels on its own link.
-
-        Rounds charged: the maximum, over ordered pairs, of the words that
-        pair must carry.  Use when per-pair traffic is small (e.g. the
-        transpose, or the O(1)-round steps of the 4-cycle algorithm); use
-        :meth:`route` when traffic is concentrated and relaying pays off.
-
-        Args:
-            outboxes: ``outboxes[v]`` lists ``(dst, payload, words)`` triples.
-            expect_max_pair: optional asserted bound on per-pair words; a
-                violation raises
-                :class:`~repro.errors.LoadBoundExceededError`.
-        """
-        self._validate(outboxes)
-        profile = analyze(outboxes, self.n)
-        rounds = direct_rounds(profile.demand)
-        if expect_max_pair is not None and rounds > expect_max_pair:
-            raise LoadBoundExceededError(
-                f"per-pair traffic of {rounds} words exceeds the asserted "
-                f"bound {expect_max_pair}"
-            )
-        self.meters.charge(
-            PhaseCost(
-                phase=phase,
-                primitive="send",
-                rounds=rounds,
-                words=profile.total_words,
-                payloads=profile.payloads,
-                max_send_words=profile.max_send,
-                max_recv_words=profile.max_recv,
-            ),
-            self._demand_traffic(profile.demand, "send", relayed=False),
-        )
-        return deliver(outboxes, self.n)
-
-    def route(
-        self,
-        outboxes: Outboxes,
-        *,
-        phase: str = "route",
-        expect_max_load: int | None = None,
-    ) -> list[list[tuple[int, Any]]]:
-        """Lenzen-routed exchange (the paper's workhorse primitive).
-
-        Rounds charged: ``2 * ceil(L / n)`` where ``L`` is the maximum
-        per-node send or receive load in words (FAST mode), or the emergent
-        length of a validated relay schedule (EXACT mode).
-
-        Args:
-            outboxes: ``outboxes[v]`` lists ``(dst, payload, words)`` triples.
-            expect_max_load: optional asserted per-node load bound from the
-                calling algorithm's analysis.
-        """
-        self._validate(outboxes)
-        profile = analyze(outboxes, self.n)
-        enforce_load_bound(profile, expect_max_load)
-        schedule = None
-        if self.mode is ScheduleMode.EXACT and profile.demand:
-            schedule = relay_schedule(profile.demand, self.n)
-            rounds = schedule.rounds
-        else:
-            rounds = relay_rounds_fast(profile.max_load, self.n)
-        self.meters.charge(
-            PhaseCost(
-                phase=phase,
-                primitive="route",
-                rounds=rounds,
-                words=profile.total_words,
-                payloads=profile.payloads,
-                max_send_words=profile.max_send,
-                max_recv_words=profile.max_recv,
-            ),
-            self._demand_traffic(
-                profile.demand,
-                "route",
-                relayed=True,
-                schedule=(
-                    self._traffic_schedule(profile.demand)
-                    if schedule is not None
-                    else None
-                ),
-            ),
-        )
-        return deliver(outboxes, self.n)
-
     # ------------------------------------------------------------------ #
-    # Array-native fast path
+    # Array exchanges
     # ------------------------------------------------------------------ #
     #
-    # These primitives move whole int64 row-blocks as single NumPy arrays
-    # with vectorised load accounting, instead of per-payload Python tuples.
-    # They charge *bit-identical* costs to the tuple primitives for the
-    # same logical exchange (same widths, same phases -- equivalence is
-    # enforced by the test suite), so algorithms can switch freely.
+    # These primitives move whole int64 piece stacks as single NumPy arrays
+    # with vectorised load accounting.  Their bills are pinned by the
+    # golden fixtures under tests/golden/ and by the per-message
+    # analyze/deliver oracle in repro.clique.routing.
 
     def broadcast_rows(
         self,
@@ -418,8 +303,7 @@ class CongestedClique:
         Args:
             rows: ``(n, ...)`` int64 array; node ``v`` owns slice ``rows[v]``.
             widths: per-node word widths; defaults to the honest per-row
-                width (``row.size * words_for_value(max_abs(row))``),
-                exactly what the tuple path charges per row.
+                width (``row.size * words_for_value(max_abs(row))``).
 
         Returns:
             The full ``rows`` array -- every node's (shared) replica.  As
@@ -466,25 +350,31 @@ class CongestedClique:
         expect_max_load: int | None = None,
         flat: bool = False,
     ) -> list[ArrayInbox] | FlatInboxes:
-        """Array-native Lenzen-routed exchange.
+        """Lenzen-routed exchange (the paper's workhorse primitive).
 
-        The batched counterpart of :meth:`route`: node ``v`` ships the
-        equally-shaped pieces ``blocks[v][i]`` to nodes ``dests[v][i]``.
+        Node ``v`` ships the equally-shaped pieces ``blocks[v][i]`` to nodes
+        ``dests[v][i]``.  Rounds charged: ``2 * ceil(L / n)`` where ``L`` is
+        the maximum per-node send or receive load in words (FAST mode), or
+        the emergent length of a validated relay schedule (EXACT mode).
         Load accounting (``np.bincount``-style scatter-adds over destination
         ids) and delivery (one stable sort) are vectorised over the whole
         exchange.
 
         Args:
             dests: per node, a ``(p_v,)`` vector of destination ids.
-            blocks: per node, a ``(p_v, *piece_shape)`` int64 stack of
-                pieces; the piece shape must be uniform across the exchange.
+            blocks: per node, a ``(p_v, *piece_shape)`` bool or integer
+                stack of pieces (shipped as ``int64`` words; float, complex
+                and object stacks raise
+                :class:`~repro.errors.CliqueModelError`); the piece shape
+                must be uniform across the exchange.
             widths: per node, ``(p_v,)`` words charged per piece; defaults
                 to the honest per-piece width
                 (:func:`repro.clique.messages.block_widths`).
             tags: optional per node ``(p_v,)`` metadata ints delivered with
-                each piece (uncharged, like tuple-path headers).
-            expect_max_load: asserted per-node load bound, as in
-                :meth:`route`.
+                each piece (uncharged headers).
+            expect_max_load: optional asserted per-node load bound from the
+                calling algorithm's analysis; a violation raises
+                :class:`~repro.errors.LoadBoundExceededError`.
             flat: return one destination-sorted
                 :class:`~repro.clique.routing.FlatInboxes` batch instead of
                 a per-node inbox list (same contents, no per-node
@@ -565,8 +455,8 @@ class CongestedClique:
         try:
             if widths is None:
                 widths = [
-                    block_widths(np.asarray(b, dtype=np.int64), self.word_bits)
-                    for b in blocks
+                    block_widths(word_blocks(v, b), self.word_bits)
+                    for v, b in enumerate(blocks)
                 ]
             return flatten_array_batch(dests, blocks, widths, tags, self.n)
         except ValueError as exc:
@@ -637,25 +527,20 @@ class CongestedClique:
         phase: str = "send",
         expect_max_pair: int | None = None,
     ) -> list[ArrayInbox]:
-        """Array-native direct exchange (the batched counterpart of :meth:`send`).
+        """Direct exchange: every piece travels on its own link.
 
-        Every piece travels on its own link; the phase costs the maximum,
-        over ordered pairs, of the words that pair must carry.  Batch layout
+        The phase costs the maximum, over ordered pairs, of the words that
+        pair must carry.  Use when per-pair traffic is small (e.g. the
+        O(1)-round steps of the 4-cycle algorithm); use :meth:`route_array`
+        when traffic is concentrated and relaying pays off.  Batch layout
         and defaults are exactly as in :meth:`route_array`.
 
         Args:
-            expect_max_pair: optional asserted bound on per-pair words, as in
-                :meth:`send`.
+            expect_max_pair: optional asserted bound on per-pair words; a
+                violation raises
+                :class:`~repro.errors.LoadBoundExceededError`.
         """
-        try:
-            if widths is None:
-                widths = [
-                    block_widths(np.asarray(b, dtype=np.int64), self.word_bits)
-                    for b in blocks
-                ]
-            batch = flatten_array_batch(dests, blocks, widths, tags, self.n)
-        except ValueError as exc:
-            raise CliqueModelError(str(exc)) from exc
+        batch = self._flatten_checked(dests, blocks, widths, tags)
         self.meters.charge(
             self._direct_batch_cost(batch, phase, expect_max_pair),
             self._batch_traffic(batch, "send", relayed=False),
@@ -705,7 +590,7 @@ class CongestedClique:
             widths: per node, ``(k,)`` words charged per piece; defaults to
                 the honest per-piece width.
             expect_max_load: asserted per-node load bound, as in
-                :meth:`route`.
+                :meth:`route_array`.
 
         Returns:
             ``(k, n, *piece_shape)`` with ``out[j, v] = blocks[v, j]`` --
@@ -754,7 +639,7 @@ class CongestedClique:
             widths: per worker, ``(n,)`` words charged per piece; defaults
                 to the honest per-piece width.
             expect_max_load: asserted per-node load bound, as in
-                :meth:`route`.
+                :meth:`route_array`.
 
         Returns:
             ``(n, k, *piece_shape)`` with ``out[u, v] = blocks[v, u]``.
@@ -800,22 +685,25 @@ class CongestedClique:
         words_per_record: int = 1,
         phase: str = "allgather",
     ) -> np.ndarray:
-        """Array-native :meth:`allgather_records` for fixed-width int records.
+        """Replicate all records to every node in ``O(R / n)`` rounds.
 
-        Same three-phase structure (broadcast counts, route to balanced
-        holders, holders broadcast) and bit-identical charges, but records
-        are rows of one ``(R, record_width)`` int64 array instead of Python
-        objects.
+        This is the "collect full information about the graph structure"
+        primitive of Dolev et al. [24] used by the girth algorithm: first the
+        per-node record counts are broadcast (so everyone can compute the
+        balanced placement), then records are routed to evenly loaded
+        holders (round-robin by global index), and finally each holder
+        broadcasts its ``<= ceil(R / n)`` records.
 
         Args:
             rows_per_node: per node, an ``(r_v, record_width)`` int64 array
                 of records (``record_width`` uniform across nodes).
-            words_per_record: words charged per record, as in
-                :meth:`allgather_records`.
+            words_per_record: words charged per record.
 
         Returns:
             The canonical combined ``(R, record_width)`` record array, in
-            the same deterministic order :meth:`allgather_records` produces.
+            holder order (every node's copy is identical; one shared array
+            is returned to avoid ``n``-fold memory blow-up in the
+            simulator).
         """
         n = self.n
         if len(rows_per_node) != n:
@@ -878,12 +766,12 @@ class CongestedClique:
         words_per_entry: int = 1,
         phase: str = "transpose",
     ) -> np.ndarray:
-        """Array-native one-round transpose of an ``(n, n)`` int64 matrix.
+        """One-round transpose of an ``(n, n)`` int64 matrix.
 
         Node ``v`` sends ``matrix[v, u]`` to node ``u``; node ``u`` ends up
-        holding column ``u``, i.e. row ``u`` of the transpose.  Charges the
-        same cost as :meth:`transpose` (every ordered pair carries exactly
-        ``words_per_entry`` words, so ``words_per_entry`` rounds).
+        holding column ``u``, i.e. row ``u`` of the transpose.  Every
+        ordered pair carries exactly ``words_per_entry`` words, so the phase
+        costs ``words_per_entry`` rounds.
         """
         matrix = np.asarray(matrix, dtype=np.int64)
         n = self.n
@@ -918,96 +806,9 @@ class CongestedClique:
         )
         return matrix.T.copy()
 
-    def transpose(
-        self,
-        row_values: Sequence[Sequence[Any]],
-        *,
-        words_per_entry: int = 1,
-        phase: str = "transpose",
-    ) -> list[list[Any]]:
-        """Matrix transpose: node ``v`` sends ``row_values[v][u]`` to node ``u``.
-
-        Costs ``words_per_entry`` rounds (each ordered pair carries exactly
-        one entry).  Returns ``columns`` with ``columns[u][v] =
-        row_values[v][u]``.
-        """
-        n = self.n
-        if len(row_values) != n or any(len(r) != n for r in row_values):
-            raise CliqueModelError("transpose expects an n x n value grid")
-        outboxes: Outboxes = [
-            [(u, row_values[v][u], words_per_entry) for u in range(n)]
-            for v in range(n)
-        ]
-        inboxes = self.send(outboxes, phase=phase)
-        columns: list[list[Any]] = []
-        for u in range(n):
-            col = [None] * n
-            for src, payload in inboxes[u]:
-                col[src] = payload
-            columns.append(col)
-        return columns
-
-    def allgather_records(
-        self,
-        records_per_node: Sequence[Sequence[Any]],
-        *,
-        words_per_record: int = 1,
-        phase: str = "allgather",
-    ) -> list[Any]:
-        """Replicate all records to every node in ``O(R / n)`` rounds.
-
-        This is the "collect full information about the graph structure"
-        primitive of Dolev et al. [24] used by the girth algorithm: first the
-        per-node record counts are broadcast (so everyone can compute the
-        balanced placement), then records are routed to evenly loaded holders
-        (round-robin by global index), and finally each holder broadcasts its
-        ``<= ceil(R / n)`` records.
-
-        Returns the canonical combined record list (every node's copy is
-        identical; a single shared list is returned to avoid ``n``-fold
-        memory blow-up in the simulator).
-        """
-        n = self.n
-        if len(records_per_node) != n:
-            raise CliqueModelError(f"expected {n} record lists")
-        counts = [len(r) for r in records_per_node]
-        self.broadcast(counts, words=1, phase=f"{phase}/counts")
-        total = sum(counts)
-        if total == 0:
-            return []
-        offsets = [0] * n
-        acc = 0
-        for v in range(n):
-            offsets[v] = acc
-            acc += counts[v]
-        outboxes: Outboxes = [[] for _ in range(n)]
-        for v in range(n):
-            for i, record in enumerate(records_per_node[v]):
-                holder = (offsets[v] + i) % n
-                outboxes[v].append((holder, record, words_per_record))
-        inboxes = self.route(outboxes, phase=f"{phase}/balance")
-        held: list[list[Any]] = [[rec for _src, rec in inboxes[v]] for v in range(n)]
-        # Include records a node kept for itself (self-addressed are delivered
-        # too by `deliver`, so `held` is already complete).
-        per_holder = math.ceil(total / n)
-        widths = [min(len(h), per_holder) * words_per_record for h in held]
-        if any(len(h) > per_holder for h in held):
-            raise AssertionError("round-robin placement exceeded ceil(R/n)")
-        self.broadcast(held, words=widths, phase=f"{phase}/broadcast")
-        combined: list[Any] = []
-        for h in held:
-            combined.extend(h)
-        return combined
-
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
-
-    def _validate(self, outboxes: Outboxes) -> None:
-        try:
-            validate_outboxes(outboxes, self.n, allow_self=True)
-        except ValueError as exc:
-            raise CliqueModelError(str(exc)) from exc
 
     @property
     def rounds(self) -> int:

@@ -1,8 +1,15 @@
-"""Load analysis for routed exchanges on the congested clique.
+"""Load analysis and delivery for exchanges on the congested clique.
 
 Separates the *accounting* of a communication phase (how many rounds a legal
 schedule needs) from the *data movement* (which the simulator performs
-directly).  Used by :class:`repro.clique.model.CongestedClique`.
+directly).  Used by :class:`repro.clique.model.CongestedClique`, whose
+exchanges all run on the array batches below.
+
+:func:`analyze` and :func:`deliver` are the small per-message reference
+oracle: they compute the same load profile and delivery order one
+``(dst, payload, words)`` triple at a time, and the test suite checks the
+vectorised :func:`analyze_array` / :func:`deliver_array` against them.  No
+simulator path calls them.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.clique.messages import word_blocks
 from repro.clique.scheduling import Demand
 from repro.errors import LoadBoundExceededError
 
@@ -48,7 +56,7 @@ class LoadProfile:
 
 
 def analyze(outboxes: Outboxes, n: int) -> LoadProfile:
-    """Compute per-node and per-pair loads for a set of outboxes."""
+    """Per-node and per-pair loads of per-message outboxes (reference oracle)."""
     send = [0] * n
     recv = [0] * n
     demand: Demand = defaultdict(int)
@@ -90,11 +98,11 @@ def enforce_load_bound(profile: LoadProfile, expect_max_load: int | None) -> Non
 # Array-native exchanges
 # --------------------------------------------------------------------- #
 #
-# The tuple path above pays a Python-level cost per *payload*; the array
-# path pays it per *batch*.  A batch is, per node, a vector of destination
-# ids plus a stacked block of equally-shaped int64 pieces; load accounting
-# and delivery are then single vectorised passes (``np.bincount`` /
-# stable argsort) over the concatenated batch.
+# Exchanges pay their Python-level cost per *batch*, not per payload.  A
+# batch is, per node, a vector of destination ids plus a stacked block of
+# equally-shaped int64 pieces; load accounting and delivery are then single
+# vectorised passes (``np.bincount`` / stable argsort) over the
+# concatenated batch.
 #
 # Exchanges whose destination pattern is *static* can go one step further
 # and skip the per-exchange argsort and the fresh delivery arrays entirely:
@@ -113,8 +121,7 @@ class ArrayInbox:
             the same deterministic order :func:`deliver` produces).
         blocks: ``(p, *piece_shape)`` stacked received pieces.
         tags: ``(p,)`` caller-defined per-piece metadata ints, or ``None``.
-            Tags ride along for free, like the tuple headers of the tuple
-            path (headers were never charged words there either).
+            Tags are uncharged headers: they ride along for free.
     """
 
     sources: np.ndarray
@@ -158,6 +165,7 @@ def _flatten_uniform(
     identical to the general path.
     """
     p = dests.shape[1]
+    word_blocks(0, blocks)
     if blocks.shape[:2] != (n, p) or widths.shape != (n, p):
         raise ValueError("uniform batch: dests/blocks/widths disagree on shape")
     if tags is not None and tags.shape != (n, p):
@@ -221,7 +229,7 @@ def flatten_array_batch(
     counts = []
     for v in range(n):
         d = np.asarray(dests[v])
-        b = np.asarray(blocks[v])
+        b = word_blocks(v, blocks[v])
         w = np.asarray(widths[v])
         if d.ndim != 1 or w.ndim != 1 or b.ndim < 1:
             raise ValueError(f"node {v}: malformed array batch")
@@ -262,9 +270,9 @@ def flatten_array_batch(
 def analyze_array(batch: ArrayBatch, *, with_demand: bool = False) -> LoadProfile:
     """Vectorised :func:`analyze` for an array batch.
 
-    Produces the same :class:`LoadProfile` numbers the tuple path computes
-    piece by piece (self-addressed pieces excluded from loads, included in
-    the payload count).  The per-pair ``demand`` map is only materialised
+    Produces the same :class:`LoadProfile` numbers :func:`analyze` computes
+    message by message (self-addressed pieces excluded from loads, included
+    in the payload count).  The per-pair ``demand`` map is only materialised
     when ``with_demand`` is set (EXACT scheduling); FAST-mode accounting
     needs only the per-node aggregates.
     """
@@ -339,8 +347,8 @@ def deliver_array_flat(batch: ArrayBatch) -> FlatInboxes:
     """Vectorised delivery, returned as one :class:`FlatInboxes` batch.
 
     One stable sort by destination groups the batch; stability preserves
-    the (sender id, emission order) order within each inbox, matching the
-    tuple path's deterministic delivery order.
+    the (sender id, emission order) order within each inbox, matching
+    :func:`deliver`'s deterministic delivery order.
     """
     order = np.argsort(batch.dst, kind="stable")
     counts = np.bincount(batch.dst, minlength=batch.n)
@@ -360,7 +368,7 @@ def deliver_array(batch: ArrayBatch) -> list[ArrayInbox]:
 
 
 def deliver(outboxes: Outboxes, n: int) -> list[list[tuple[int, Any]]]:
-    """Move every payload to its destination inbox.
+    """Move every payload to its destination inbox (reference oracle).
 
     Returns ``inboxes`` with ``inboxes[u]`` a list of ``(src, payload)``
     pairs, ordered by source id and then by emission order -- a deterministic

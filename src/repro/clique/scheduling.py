@@ -275,11 +275,16 @@ def relay_schedule(demand: Demand, n: int, topology=None) -> RelaySchedule:
     transport-model makespan without changing a single charged round.
     """
     topo_key = getattr(topology, "cache_key", None) if topology is not None else None
-    key = (n, topo_key, tuple(sorted(demand.items())))
+    pairs = tuple(sorted(demand.items()))
+    key = (n, topo_key, pairs)
     cached = _SCHEDULE_CACHE.get(key)
     if cached is not None:
         return cached
-    schedule = _build_relay_schedule(demand, n, topology)
+    # Build from the key's (sorted) pair order: the colouring's matching
+    # count depends on the order pairs are presented, so building from the
+    # caller's order would make the cached rounds depend on which caller
+    # happened to build first.
+    schedule = _build_relay_schedule(dict(pairs), n, topology)
     if len(_SCHEDULE_CACHE) >= _SCHEDULE_CACHE_MAX:
         _SCHEDULE_CACHE.pop(next(iter(_SCHEDULE_CACHE)))
     _SCHEDULE_CACHE[key] = schedule

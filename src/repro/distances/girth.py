@@ -16,8 +16,8 @@ products in total -- ``O~(n^rho)`` rounds on the fast engine.
 
 Both return :data:`~repro.constants.INF` for acyclic inputs.
 
-Implementation note: every exchange runs on the simulator's array-native
-fast path -- the sparse branch replicates its edge list through
+Implementation note: every exchange runs on the simulator's array
+exchanges -- the sparse branch replicates its edge list through
 :meth:`~repro.clique.model.CongestedClique.allgather_rows`, and the Boolean
 products of the directed doubling loop run through the array-native engines
 (with the semiring engines multiplying directly over the blocked Boolean
@@ -138,8 +138,8 @@ def _learn_graph_and_solve(clique: CongestedClique, graph: Graph) -> int:
 
     Runs on the array-native
     :meth:`~repro.clique.model.CongestedClique.allgather_rows` -- edges move
-    as one ``(m, 2)`` record array instead of per-edge tuples, at the
-    bit-identical charges of ``allgather_records`` (equivalence-tested).
+    as one ``(m, 2)`` record array (the replication's bills are pinned by
+    ``tests/golden/allgather.json``).
     """
     records = []
     for v in range(clique.n):

@@ -52,13 +52,7 @@ from typing import Callable
 import numpy as np
 
 from repro.clique.accounting import CostMeter, PhaseCost, PhaseTraffic
-from repro.clique.messages import block_widths
-from repro.clique.routing import (
-    ArrayBatch,
-    deliver_array,
-    deliver_array_flat,
-    flatten_array_batch,
-)
+from repro.clique.routing import ArrayBatch, deliver_array, deliver_array_flat
 from repro.clique.scheduling import disjoint_relays
 from repro.errors import CliqueModelError, FaultToleranceExceeded
 from repro.faults.coding import decode_stripes, encode_stripes, stripe_plan
@@ -363,15 +357,7 @@ class EncodedClique(FaultyClique):
         phase: str = "send",
         expect_max_pair: int | None = None,
     ):
-        try:
-            if widths is None:
-                widths = [
-                    block_widths(np.asarray(b, dtype=np.int64), self.word_bits)
-                    for b in blocks
-                ]
-            batch = flatten_array_batch(dests, blocks, widths, tags, self.n)
-        except ValueError as exc:
-            raise CliqueModelError(str(exc)) from exc
+        batch = self._flatten_checked(dests, blocks, widths, tags)
         abstract_cost = self._direct_batch_cost(batch, phase, expect_max_pair)
         decoded = self._encoded_routed(batch, abstract_cost, phase)
         return deliver_array(replace(batch, blocks=decoded))

@@ -7,12 +7,12 @@ which each node multiplies its own row of ``S`` against the fully replicated
 baseline is the implicit comparison point the paper's ``O(n^{1/3})`` improves
 on, and the benchmark harness uses it to show the crossover.
 
-The replication step runs on the simulator's array-native fast path
-(:meth:`~repro.clique.model.CongestedClique.broadcast_rows`): ``T`` moves as
-one ``(n, n)`` array with per-row honest widths instead of ``n`` tuple
-payloads, and the local per-node products ``S[v] . T`` are evaluated as one
-batched kernel call (row ``v`` of the batch is exactly node ``v``'s local
-computation, so simulated costs are unchanged).
+The replication step runs on
+:meth:`~repro.clique.model.CongestedClique.broadcast_rows`: ``T`` moves as
+one ``(n, n)`` array with per-row honest widths, and the local per-node
+products ``S[v] . T`` are evaluated as one batched kernel call (row ``v``
+of the batch is exactly node ``v``'s local computation, so simulated costs
+are unchanged).
 """
 
 from __future__ import annotations

@@ -24,13 +24,12 @@ exactly because the semiring engine takes arg-min locally.
 
 Implementation notes:
 
-* Both exchanges run on the simulator's **array-native fast path** with
-  *planned delivery*
+* Both exchanges run with *planned delivery*
   (:meth:`~repro.clique.model.CongestedClique.route_array_take`): the
-  charged round counts are bit-identical to the tuple formulation and to
-  sort-based :meth:`~repro.clique.model.CongestedClique.route_array`
-  delivery (see the equivalence tests), but inboxes are gathered by the
-  plan's precomputed index vectors into per-session
+  charged round counts are bit-identical to sort-based
+  :meth:`~repro.clique.model.CongestedClique.route_array` delivery (see
+  the equivalence tests), but inboxes are gathered by the plan's
+  precomputed index vectors into per-session
   :class:`~repro.clique.arena.ExchangeArena` buffers -- no per-exchange
   argsort, no concatenated temporaries.
 * The exchange pattern is input-independent, so every static index array
@@ -127,8 +126,8 @@ def cube_plan(n: int) -> CubePlan:
     v1_of = ids // q2
     v2_of = (ids // q) % q
     # Node v sends S[v, u2**] to each u in v1** and T[v, w3**] to each w in
-    # *v1* (i.e. w2 = v1); destinations in the tuple path's emission order
-    # (S pieces by (u2, u3), then T pieces by (w1, w3)).
+    # *v1* (i.e. w2 = v1); destinations in emission order (S pieces by
+    # (u2, u3), then T pieces by (w1, w3)).
     s_dests = v1_of[:, None] * q2 + np.arange(q2, dtype=np.int64)[None, :]
     w1w3 = (
         np.arange(q, dtype=np.int64)[:, None] * q2
@@ -225,7 +224,7 @@ def semiring_matmul(
     t3 = t.reshape(n, q, q2)  # t3[v, w3] = T[v, w3**]
     pieces = arena.buffer("cube/pieces", (n, 2 * q2, q2))
     # S pieces at row (u2 q + u3) = s3[v, u2]; T pieces at (w1 q + w3) =
-    # t3[v, w3] -- the tuple path's emission order.
+    # t3[v, w3] -- the emission order.
     pieces[:, :q2].reshape(n, q, q, q2)[:] = s3[:, :, None, :]
     pieces[:, q2:].reshape(n, q, q, q2)[:] = t3[:, None, :, :]
 

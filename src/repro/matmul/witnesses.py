@@ -19,12 +19,10 @@ paper (after Seidel [65], Zwick [76], Alon-Naor [4]):
 Candidate validation is itself distributed: checking ``S[u,w] + T[w,v] =
 P[u,v]`` needs ``T[w, v]``, which lives at node ``w``; nodes exchange
 (request, response) pairs through the router and the rounds are charged to
-the meter like everything else.  Both routed hops run on the simulator's
-array-native fast path (:meth:`~repro.clique.model.CongestedClique.
-route_array`): requests and responses are ``(p_v, 1)`` / ``(p_v, 2)`` index
-batches instead of per-pair Python tuples.  The tuple formulation is
-retained as :func:`validate_candidates_tuple` -- the oracle the equivalence
-tests charge both paths against.
+the meter like everything else.  Both routed hops run on
+:meth:`~repro.clique.model.CongestedClique.route_array`: requests and
+responses are ``(p_v, 1)`` / ``(p_v, 2)`` index batches, and their bills
+are pinned by the golden fixtures in ``tests/golden/witnesses.json``.
 """
 
 from __future__ import annotations
@@ -134,44 +132,6 @@ def _validate_candidates(
             & (saturating_add(s_arr, t_arr) == p[u, v_arr])
         )
         ok[u, v_arr[good]] = True
-    return ok
-
-
-def validate_candidates_tuple(
-    clique: CongestedClique,
-    s: np.ndarray,
-    t: np.ndarray,
-    p: np.ndarray,
-    candidates: np.ndarray,
-    needed: np.ndarray,
-    phase: str,
-) -> np.ndarray:
-    """The retained per-payload tuple formulation of candidate validation.
-
-    Charges bit-identical rounds to :func:`_validate_candidates` for the
-    same instance (equivalence-tested); kept as the round-accounting oracle.
-    """
-    n = clique.n
-    requests: list[list[tuple[int, object, int]]] = [[] for _ in range(n)]
-    for u in range(n):
-        cols = np.nonzero(needed[u])[0]
-        for v in cols:
-            w = int(candidates[u, v])
-            if 0 <= w < n:
-                requests[u].append((w, (u, int(v)), 1))
-    inboxes = clique.route(requests, phase=f"{phase}/requests")
-    responses: list[list[tuple[int, object, int]]] = [[] for _ in range(n)]
-    for w in range(n):
-        for _src, (u, v) in inboxes[w]:
-            responses[w].append((u, (v, int(t[w, v])), 1))
-    inboxes = clique.route(responses, phase=f"{phase}/responses")
-    ok = np.zeros_like(needed)
-    for u in range(n):
-        for w_node, (v, t_wv) in inboxes[u]:
-            w = int(candidates[u, v])
-            assert w == w_node
-            if t_wv < INF and s[u, w] < INF and s[u, w] + t_wv == p[u, v]:
-                ok[u, v] = True
     return ok
 
 
@@ -296,6 +256,5 @@ __all__ = [
     "WitnessResult",
     "unique_witnesses",
     "find_witnesses",
-    "validate_candidates_tuple",
     "ProductFn",
 ]

@@ -123,8 +123,9 @@ def detect_colourful_cycle(
     # local; A[v, u] equals A[u, v] for undirected graphs, and for directed
     # graphs the nodes exchange the adjacency transpose in one round.
     if _needs_transpose(a):
-        cols = clique.transpose(a, words_per_entry=1, phase=f"{phase}/transpose")
-        closing = np.array(cols, dtype=np.int64)
+        closing = clique.transpose_array(
+            a, words_per_entry=1, phase=f"{phase}/transpose"
+        )
     else:
         closing = a
     local_hits = [bool(np.any(full[u] & closing[u])) for u in range(n)]

@@ -22,15 +22,13 @@ A 4-cycle exists iff some pair ``x != z`` has two distinct 2-walks
 
 Total: O(1) rounds regardless of ``n`` -- the flattest row of Table 1.
 
-Implementation note: the three exchanges (chunk shipping, chunk forwarding,
-walk-bundle routing) run on the simulator's array-native fast path by
-default (``engine="array"``): chunks travel as ``-1``-padded ``(p, 8)`` id
-batches through :meth:`~repro.clique.model.CongestedClique.send_array` and
-walks as ``(p, 2)`` batches through :meth:`~repro.clique.model.
-CongestedClique.route_array`, with the honest tuple-path widths charged
-explicitly.  The per-payload tuple formulation is retained under
-``engine="tuple"`` as the round-accounting oracle (bit-identical charges,
-equivalence-tested).
+Implementation note: in the three exchanges (chunk shipping, chunk
+forwarding, walk-bundle routing) chunks travel as ``-1``-padded ``(p, 8)``
+id batches through :meth:`~repro.clique.model.CongestedClique.send_array`
+and walks as ``(p, 2)`` batches through :meth:`~repro.clique.model.
+CongestedClique.route_array`.  Each piece is charged the width of its
+unpadded content explicitly; the bills are pinned by the golden fixtures in
+``tests/golden/four_cycle.json``.
 """
 
 from __future__ import annotations
@@ -125,13 +123,13 @@ def _chunks(items: np.ndarray, parts: int) -> list[np.ndarray]:
     return [chunk for chunk in np.array_split(items, parts)]
 
 
-def _walk_check_array(
+def _walk_check(
     clique: CongestedClique,
     graph: Graph,
     tiles: list[Tile],
     tile_of: dict[int, Tile],
 ) -> list[bool]:
-    """Steps A/B + walk-bundle routing on the array-native fast path."""
+    """Steps A/B + walk-bundle routing: each node's duplicate-pair verdict."""
     cn = clique.n
     empty_d = np.zeros(0, dtype=np.int64)
     empty_b = np.zeros((0, _CHUNK), dtype=np.int64)
@@ -238,97 +236,15 @@ def _walk_check_array(
     return found
 
 
-def _walk_check_tuple(
-    clique: CongestedClique,
-    graph: Graph,
-    tiles: list[Tile],
-    tile_of: dict[int, Tile],
-) -> list[bool]:
-    """The retained per-payload tuple formulation of the walk phases.
-
-    Charges bit-identical rounds to :func:`_walk_check_array`
-    (equivalence-tested); kept as the round-accounting oracle.
-    """
-    cn = clique.n
-
-    # Step A: y ships NA(y, a) to each a in A(y).
-    outboxes: list[list[tuple[int, object, int]]] = [[] for _ in range(cn)]
-    for tile in tiles:
-        y = tile.y
-        neigh = graph.neighbors(y)
-        na = _chunks(neigh, tile.side)
-        for a_node, chunk in zip(tile.rows, na):
-            outboxes[y].append((a_node, (y, chunk), max(1, len(chunk))))
-    inboxes = clique.send(outboxes, phase="c4/stepA", expect_max_pair=_CHUNK)
-
-    # Step B: a forwards NA(y, a) to every b in B(y).  Tile disjointness
-    # guarantees <= one (y, chunk) per ordered pair (a, b).
-    outboxes = [[] for _ in range(cn)]
-    for a_node in range(cn):
-        for _src, (y, chunk) in inboxes[a_node]:
-            tile = tile_of[y]
-            for b_node in tile.cols:
-                outboxes[a_node].append((b_node, (y, chunk), max(1, len(chunk) + 1)))
-    inboxes = clique.send(outboxes, phase="c4/stepB", expect_max_pair=_CHUNK + 1)
-
-    # Node b reassembles N(y) per tile column and forms its walk bundle
-    # W(b) = union over y of N(y) x {y} x NB(y, b).
-    walks_by_b: list[list[tuple[int, int, int]]] = [[] for _ in range(cn)]
-    for b_node in range(cn):
-        per_y: dict[int, list[np.ndarray]] = {}
-        for _src, (y, chunk) in inboxes[b_node]:
-            per_y.setdefault(y, []).append(chunk)
-        for y, pieces in per_y.items():
-            neigh = np.concatenate([p for p in pieces if len(p)]) if pieces else []
-            tile = tile_of[y]
-            nb = _chunks(np.asarray(neigh, dtype=np.int64), tile.side)
-            b_index = b_node - tile.col_start
-            z_part = nb[b_index]
-            for x in neigh:
-                for z in z_part:
-                    walks_by_b[b_node].append((int(x), y, int(z)))
-
-    # Route every 2-walk (x, y, z) to its left endpoint x; per Lemma 13 the
-    # send load is O(n) and (post-pigeonhole) the receive load is < 2n.
-    outboxes = [
-        [(x, (y, z), 1) for (x, y, z) in walks_by_b[b]] for b in range(cn)
-    ]
-    inboxes = clique.route(
-        outboxes, phase="c4/gather-walks", expect_max_load=64 * cn
-    )
-    found = []
-    for x in range(cn):
-        endpoints: set[int] = set()
-        hit = False
-        for _src, (y, z) in inboxes[x]:
-            if z == x:
-                continue
-            if z in endpoints:
-                hit = True
-                break
-            endpoints.add(z)
-        found.append(hit)
-    return found
-
-
 def detect_four_cycles(
     graph: Graph,
     *,
     clique: CongestedClique | None = None,
     mode: ScheduleMode = ScheduleMode.FAST,
-    engine: str = "array",
 ) -> RunResult:
-    """Theorem 4: 4-cycle existence in O(1) rounds.
-
-    Args:
-        engine: ``"array"`` (default) runs the three exchanges on the
-            array-native fast path; ``"tuple"`` runs the retained
-            per-payload formulation.  Both charge identical rounds.
-    """
+    """Theorem 4: 4-cycle existence in O(1) rounds."""
     if graph.directed:
         raise ValueError("Theorem 4 is stated for undirected graphs")
-    if engine not in ("array", "tuple"):
-        raise ValueError(f"unknown engine {engine!r}")
     n = graph.n
     clique = clique or CongestedClique(max(2, n), mode=mode)
     if clique.n < n:
@@ -357,8 +273,7 @@ def detect_four_cycles(
     tiles = build_tiling(degrees[:n], n)
     tile_of = {tile.y: tile for tile in tiles}
 
-    walk_check = _walk_check_array if engine == "array" else _walk_check_tuple
-    found = walk_check(clique, graph, tiles, tile_of)
+    found = _walk_check(clique, graph, tiles, tile_of)
     verdict = or_broadcast(clique, found, phase="c4/verdict")
     return RunResult(
         value=verdict,

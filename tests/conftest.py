@@ -24,3 +24,64 @@ def random_demand(
                 continue
             demand[(u, v)] = demand.get((u, v), 0) + int(rng.integers(1, max_width + 1))
     return demand
+
+
+def oracle_phase(
+    outboxes, n: int, *, phase: str, primitive: str, exact: bool = False
+) -> tuple:
+    """The bill of one exchange, computed message by message.
+
+    ``outboxes[v]`` lists node ``v``'s ``(dst, payload, words)`` messages;
+    the per-message :func:`repro.clique.routing.analyze` oracle gives the
+    loads, and the round count follows the model: the maximum per-pair
+    words for a direct ``"send"``, ``2 ceil(L / n)`` (FAST) or the relay
+    schedule's length (EXACT) for a ``"route"``.  Returned in the field
+    order of :func:`phase_rows`.
+    """
+    from repro.clique.routing import analyze
+    from repro.clique.scheduling import (
+        direct_rounds,
+        relay_rounds_fast,
+        relay_schedule,
+    )
+
+    profile = analyze(outboxes, n)
+    if primitive == "send":
+        rounds = direct_rounds(profile.demand)
+    elif exact and profile.demand:
+        rounds = relay_schedule(profile.demand, n).rounds
+    else:
+        rounds = relay_rounds_fast(profile.max_load, n)
+    return (
+        phase,
+        primitive,
+        rounds,
+        profile.total_words,
+        profile.payloads,
+        profile.max_send,
+        profile.max_recv,
+    )
+
+
+def phase_rows(meter) -> list[tuple]:
+    """A meter's phases as comparable tuples (every PhaseCost field)."""
+    return [
+        (
+            p.phase,
+            p.primitive,
+            p.rounds,
+            p.words,
+            p.payloads,
+            p.max_send_words,
+            p.max_recv_words,
+        )
+        for p in meter.phases
+    ]
+
+
+def outboxes_of(dests, blocks, widths) -> list[list[tuple]]:
+    """Per-message outboxes ``(dst, piece, words)`` of an array batch."""
+    return [
+        [(int(d[i]), b[i], int(w[i])) for i in range(len(d))]
+        for d, b, w in zip(dests, blocks, widths)
+    ]

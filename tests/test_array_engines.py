@@ -1,14 +1,14 @@
-"""Equivalence tests: array-native engine ports vs the retained tuple paths.
+"""Array engines and block collectives against centralised oracles.
 
-PR 1 proved the *primitives* (`route_array`, `broadcast_rows`, ...) charge
-bit-identical costs to the tuple primitives; this suite proves the same for
-every *algorithm phase* ported in this PR -- the §2.2 bilinear engine's four
-exchanges, the Lemma 21 witness validation hops, the Theorem 4 walk
-exchanges, and the girth's learn-everything replication -- by running the
-array and tuple formulations side by side and comparing the full per-phase
-:class:`~repro.clique.accounting.PhaseCost` stream.  Also covers the new
-block collectives (`scatter_blocks` / `gather_blocks` / `send_array` /
-`allgather_rows`) and the blocked Boolean kernel against its cube oracle.
+The per-phase bills of the §2.2 bilinear engine's four exchanges, the
+Lemma 21 witness validation hops, the Theorem 4 walk exchanges and the
+girth's learn-everything replication are pinned by the golden fixtures
+(``tests/test_golden_bills.py``).  This suite checks their answers against
+centralised references on random instances, and the block collectives
+(`scatter_blocks` / `gather_blocks` / `send_array` / `allgather_rows`)
+against the per-message load/delivery oracle in
+:mod:`repro.clique.routing`.  Also covers the blocked Boolean kernel
+against its cube oracle.
 """
 
 from __future__ import annotations
@@ -18,57 +18,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra.bilinear import classical, strassen_power
-from repro.algebra.polynomial import encode_minplus
-from repro.algebra.semirings import BOOLEAN, MIN_PLUS
+from repro.algebra.bilinear import classical
+from repro.algebra.semirings import BOOLEAN
 from repro.clique.messages import words_for_array
-from repro.clique.model import CongestedClique, ScheduleMode
-from repro.constants import INF
+from repro.clique.model import CongestedClique
+from repro.clique.routing import deliver
 from repro.errors import CliqueModelError, LoadBoundExceededError
 from repro.graphs import (
     bipartite_random_graph,
     cycle_graph,
+    four_cycle_count_reference,
     gnp_random_graph,
     windmill_graph,
 )
-from repro.matmul.bilinear_clique import bilinear_matmul, bilinear_matmul_tuple
-from repro.matmul.ringops import POLYNOMIAL_RING
-from repro.matmul.witnesses import _validate_candidates, validate_candidates_tuple
+from repro.matmul.bilinear_clique import bilinear_matmul
+from repro.matmul.witnesses import _validate_candidates
 from repro.runtime import boolean_product
 from repro.subgraphs.four_cycle import detect_four_cycles
+from tests.conftest import oracle_phase, outboxes_of, phase_rows
+from tests.golden_cases import validation_reference, witness_inputs
 
 
-def _phases(clique: CongestedClique):
-    return [
-        (
-            p.phase,
-            p.primitive,
-            p.rounds,
-            p.words,
-            p.payloads,
-            p.max_send_words,
-            p.max_recv_words,
-        )
-        for p in clique.meter.phases
-    ]
-
-
-class TestBilinearEquivalence:
-    @pytest.mark.parametrize(
-        "n,algorithm",
-        [(16, None), (25, None), (49, None), (64, classical(4)), (4, strassen_power(0))],
-    )
-    def test_phases_and_product_match(self, n, algorithm, rng):
-        s = rng.integers(-9, 10, (n, n), dtype=np.int64)
-        t = rng.integers(-9, 10, (n, n), dtype=np.int64)
-        array_clique = CongestedClique(n)
-        tuple_clique = CongestedClique(n)
-        p_array = bilinear_matmul(array_clique, s, t, algorithm)
-        p_tuple = bilinear_matmul_tuple(tuple_clique, s, t, algorithm)
-        assert np.array_equal(p_array, s @ t)
-        assert np.array_equal(p_tuple, p_array)
-        assert _phases(array_clique) == _phases(tuple_clique)
-
+class TestBilinearProducts:
     @settings(max_examples=6, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
     def test_random_instances(self, seed):
@@ -76,24 +47,7 @@ class TestBilinearEquivalence:
         n = int(rng.choice([16, 25, 36]))
         s = rng.integers(-50, 51, (n, n), dtype=np.int64)
         t = rng.integers(-50, 51, (n, n), dtype=np.int64)
-        array_clique = CongestedClique(n)
-        tuple_clique = CongestedClique(n)
-        assert np.array_equal(
-            bilinear_matmul(array_clique, s, t),
-            bilinear_matmul_tuple(tuple_clique, s, t),
-        )
-        assert _phases(array_clique) == _phases(tuple_clique)
-
-    def test_wide_entries_charge_identically(self, rng):
-        # Wide entries exercise the per-piece honest-width vectorisation.
-        n = 16
-        s = rng.integers(-(2**40), 2**40, (n, n), dtype=np.int64)
-        t = rng.integers(-3, 4, (n, n), dtype=np.int64)
-        array_clique = CongestedClique(n)
-        tuple_clique = CongestedClique(n)
-        bilinear_matmul(array_clique, s, t)
-        bilinear_matmul_tuple(tuple_clique, s, t)
-        assert _phases(array_clique) == _phases(tuple_clique)
+        assert np.array_equal(bilinear_matmul(CongestedClique(n), s, t), s @ t)
 
     def test_decode_widening_stays_within_load_bound(self):
         # Regression: the step-7 load bound must use the *decoded* entry
@@ -104,64 +58,24 @@ class TestBilinearEquivalence:
         n = 16
         s = np.full((n, n), 50, dtype=np.int64)
         t = np.full((n, n), 50, dtype=np.int64)
-        array_clique = CongestedClique(n)
-        tuple_clique = CongestedClique(n)
-        p_array = bilinear_matmul(array_clique, s, t, classical(2))
-        p_tuple = bilinear_matmul_tuple(tuple_clique, s, t, classical(2))
-        assert np.array_equal(p_array, s @ t)
-        assert np.array_equal(p_tuple, p_array)
-        assert _phases(array_clique) == _phases(tuple_clique)
-
-    def test_polynomial_ring_phases_match(self, rng):
-        n = 16
-        s = rng.integers(0, 4, (n, n), dtype=np.int64)
-        t = rng.integers(0, 4, (n, n), dtype=np.int64)
-        es = encode_minplus(s, 3, 4)
-        et = encode_minplus(t, 3, 4)
-        array_clique = CongestedClique(n)
-        tuple_clique = CongestedClique(n)
-        p_array = bilinear_matmul(array_clique, es, et, ring=POLYNOMIAL_RING)
-        p_tuple = bilinear_matmul_tuple(tuple_clique, es, et, ring=POLYNOMIAL_RING)
-        assert np.array_equal(p_array, p_tuple)
-        assert _phases(array_clique) == _phases(tuple_clique)
-
-    def test_exact_mode_phases_match(self, rng):
-        n = 16
-        s = rng.integers(0, 3, (n, n), dtype=np.int64)
-        t = rng.integers(0, 3, (n, n), dtype=np.int64)
-        array_clique = CongestedClique(n, mode=ScheduleMode.EXACT)
-        tuple_clique = CongestedClique(n, mode=ScheduleMode.EXACT)
-        bilinear_matmul(array_clique, s, t)
-        bilinear_matmul_tuple(tuple_clique, s, t)
-        assert _phases(array_clique) == _phases(tuple_clique)
+        p = bilinear_matmul(CongestedClique(n), s, t, classical(2))
+        assert np.array_equal(p, s @ t)
 
 
-class TestWitnessValidationEquivalence:
+class TestWitnessValidation:
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
-    def test_phases_and_verdicts_match(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(4, 16))
-        s = rng.integers(0, 6, (n, n), dtype=np.int64)
-        t = rng.integers(0, 6, (n, n), dtype=np.int64)
-        s[rng.random((n, n)) < 0.2] = INF
-        t[rng.random((n, n)) < 0.2] = INF
-        p = MIN_PLUS.matmul(s, t)
-        candidates = rng.integers(-1, n, (n, n), dtype=np.int64)
-        needed = rng.random((n, n)) < 0.5
-        array_clique = CongestedClique(n)
-        tuple_clique = CongestedClique(n)
-        ok_array = _validate_candidates(
-            array_clique, s, t, p, candidates, needed, "v"
+    def test_verdicts_match_centralised_check(self, seed):
+        s, t, p, candidates, needed = witness_inputs({"seed": seed})
+        ok = _validate_candidates(
+            CongestedClique(s.shape[0]), s, t, p, candidates, needed, "v"
         )
-        ok_tuple = validate_candidates_tuple(
-            tuple_clique, s, t, p, candidates, needed, "v"
+        assert np.array_equal(
+            ok, validation_reference(s, t, p, candidates, needed)
         )
-        assert np.array_equal(ok_array, ok_tuple)
-        assert _phases(array_clique) == _phases(tuple_clique)
 
 
-class TestFourCycleEquivalence:
+class TestFourCycleDetection:
     @settings(max_examples=10, deadline=None)
     @given(
         st.integers(min_value=0, max_value=10**6),
@@ -169,10 +83,7 @@ class TestFourCycleEquivalence:
     )
     def test_random_graphs(self, seed, p):
         g = gnp_random_graph(20, p, seed=seed)
-        res_array = detect_four_cycles(g, engine="array")
-        res_tuple = detect_four_cycles(g, engine="tuple")
-        assert res_array.value == res_tuple.value
-        assert _phases_from(res_array) == _phases_from(res_tuple)
+        assert detect_four_cycles(g).value == (four_cycle_count_reference(g) > 0)
 
     def test_structured_families(self):
         for g in (
@@ -181,52 +92,11 @@ class TestFourCycleEquivalence:
             cycle_graph(4),
             bipartite_random_graph(48, 3.0 / 48, seed=7),
         ):
-            res_array = detect_four_cycles(g, engine="array")
-            res_tuple = detect_four_cycles(g, engine="tuple")
-            assert res_array.value == res_tuple.value
-            assert _phases_from(res_array) == _phases_from(res_tuple)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            detect_four_cycles(gnp_random_graph(8, 0.3, seed=0), engine="fancy")
+            want = four_cycle_count_reference(g) > 0
+            assert detect_four_cycles(g).value == want
 
 
-def _phases_from(result):
-    return [
-        (
-            p.phase,
-            p.primitive,
-            p.rounds,
-            p.words,
-            p.payloads,
-            p.max_send_words,
-            p.max_recv_words,
-        )
-        for p in result.meter.phases
-    ]
-
-
-class TestAllgatherRowsEquivalence:
-    @settings(max_examples=15, deadline=None)
-    @given(st.integers(min_value=0, max_value=10**6))
-    def test_phases_and_records_match(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 10))
-        rows = [
-            rng.integers(0, 50, (int(rng.integers(0, 6)), 2)).astype(np.int64)
-            for _ in range(n)
-        ]
-        array_clique = CongestedClique(n, word_bits=16)
-        tuple_clique = CongestedClique(n, word_bits=16)
-        got = array_clique.allgather_rows(rows, words_per_record=2, phase="ag")
-        want = tuple_clique.allgather_records(
-            [[tuple(map(int, r)) for r in node_rows] for node_rows in rows],
-            words_per_record=2,
-            phase="ag",
-        )
-        assert [tuple(map(int, r)) for r in got] == want
-        assert _phases(array_clique) == _phases(tuple_clique)
-
+class TestAllgatherRows:
     def test_empty_input(self):
         clique = CongestedClique(3)
         out = clique.allgather_rows(
@@ -257,54 +127,41 @@ class TestBlockCollectives:
         array_clique = CongestedClique(n, word_bits=16)
         out = array_clique.scatter_blocks(blocks, phase="x")
         assert np.array_equal(out, blocks.swapaxes(0, 1))
-        # Tuple-path cost oracle for the same exchange.
-        tuple_clique = CongestedClique(n, word_bits=16)
+        # Per-message oracle for the same exchange.
         outboxes = [
-            [
-                (j, blocks[v, j], words_for_array(blocks[v, j], 16))
-                for j in range(k)
-            ]
+            [(j, blocks[v, j], words_for_array(blocks[v, j], 16)) for j in range(k)]
             for v in range(n)
         ]
-        tuple_clique.route(outboxes, phase="x")
-        assert _phases(array_clique) == _phases(tuple_clique)
+        assert phase_rows(array_clique.meter) == [
+            oracle_phase(outboxes, n, phase="x", primitive="route")
+        ]
         # gather is the inverse exchange.
         back_clique = CongestedClique(n, word_bits=16)
         back = back_clique.gather_blocks(out, phase="x")
         assert np.array_equal(back, blocks[:, :k])
-        gather_oracle = CongestedClique(n, word_bits=16)
         outboxes = [
-            [
-                (u, out[v, u], words_for_array(out[v, u], 16))
-                for u in range(n)
-            ]
+            [(u, out[v, u], words_for_array(out[v, u], 16)) for u in range(n)]
             for v in range(k)
         ] + [[] for _ in range(n - k)]
-        gather_oracle.route(outboxes, phase="x")
-        assert _phases(back_clique) == _phases(gather_oracle)
+        assert phase_rows(back_clique.meter) == [
+            oracle_phase(outboxes, n, phase="x", primitive="route")
+        ]
 
-    def test_send_array_matches_send(self, rng):
+    def test_send_array_matches_oracle(self, rng):
         n = 6
         dests = [rng.integers(0, n, 4).astype(np.int64) for _ in range(n)]
         blocks = [rng.integers(-9, 9, (4, 2)).astype(np.int64) for _ in range(n)]
-        array_clique = CongestedClique(n, word_bits=16)
-        inboxes = array_clique.send_array(dests, blocks, phase="s")
-        tuple_clique = CongestedClique(n, word_bits=16)
-        outboxes = [
-            [
-                (
-                    int(dests[v][i]),
-                    blocks[v][i],
-                    words_for_array(blocks[v][i], 16),
-                )
-                for i in range(4)
-            ]
-            for v in range(n)
+        clique = CongestedClique(n, word_bits=16)
+        inboxes = clique.send_array(dests, blocks, phase="s")
+        widths = [[words_for_array(b, 16) for b in node] for node in blocks]
+        outboxes = outboxes_of(dests, blocks, widths)
+        assert phase_rows(clique.meter) == [
+            oracle_phase(outboxes, n, phase="s", primitive="send")
         ]
-        tuple_in = tuple_clique.send(outboxes, phase="s")
-        assert _phases(array_clique) == _phases(tuple_clique)
-        for u in range(n):
-            assert [s for s, _ in tuple_in[u]] == inboxes[u].sources.tolist()
+        for u, box in enumerate(deliver(outboxes, n)):
+            assert [src for src, _ in box] == inboxes[u].sources.tolist()
+            for (_src, piece), got in zip(box, inboxes[u].blocks):
+                assert np.array_equal(piece, got)
 
     def test_send_array_pair_bound_enforced(self):
         n = 4

@@ -1,10 +1,11 @@
-"""Equivalence tests: array-native primitives vs the tuple path.
+"""Array exchanges against the per-message oracle.
 
-The fast path must charge *identical* costs (rounds, words, payloads, load
-profiles -- the full :class:`~repro.clique.accounting.PhaseCost`) to the
-tuple primitives for the same logical exchange, and deliver the same pieces
-in the same deterministic order.  Also covers the vectorised width helpers
-against their scalar counterparts.
+The array primitives must charge the bill the per-message load oracle
+(:func:`repro.clique.routing.analyze` plus the model's round rules) gives
+for the same logical exchange -- the full
+:class:`~repro.clique.accounting.PhaseCost` -- and deliver the pieces in
+:func:`repro.clique.routing.deliver`'s deterministic order.  Also covers the
+vectorised width helpers against their scalar counterparts.
 """
 
 from __future__ import annotations
@@ -22,40 +23,20 @@ from repro.clique.messages import (
     words_for_values,
 )
 from repro.clique.model import CongestedClique, ScheduleMode
+from repro.clique.routing import deliver
 from repro.errors import CliqueModelError, LoadBoundExceededError
-
-
-def _phases(clique: CongestedClique):
-    return [
-        (
-            p.phase,
-            p.primitive,
-            p.rounds,
-            p.words,
-            p.payloads,
-            p.max_send_words,
-            p.max_recv_words,
-        )
-        for p in clique.meter.phases
-    ]
+from tests.conftest import oracle_phase, outboxes_of, phase_rows
 
 
 def _random_batch(rng, n: int, piece_len: int):
-    """A random exchange in both representations (tuple outboxes + arrays)."""
-    dests, blocks, outboxes = [], [], []
-    for v in range(n):
+    """A random exchange as arrays plus its per-message outboxes."""
+    dests, blocks = [], []
+    for _v in range(n):
         p_v = int(rng.integers(0, 7))
-        d = rng.integers(0, n, p_v).astype(np.int64)
-        b = rng.integers(-100, 100, (p_v, piece_len)).astype(np.int64)
-        dests.append(d)
-        blocks.append(b)
-        outboxes.append(
-            [
-                (int(d[i]), b[i], words_for_array(b[i], 16))
-                for i in range(p_v)
-            ]
-        )
-    return dests, blocks, outboxes
+        dests.append(rng.integers(0, n, p_v).astype(np.int64))
+        blocks.append(rng.integers(-100, 100, (p_v, piece_len)).astype(np.int64))
+    widths = [[words_for_array(piece, 16) for piece in b] for b in blocks]
+    return dests, blocks, outboxes_of(dests, blocks, widths)
 
 
 class TestRouteArrayEquivalence:
@@ -65,19 +46,16 @@ class TestRouteArrayEquivalence:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 12))
         dests, blocks, outboxes = _random_batch(rng, n, piece_len=3)
-        tuple_clique = CongestedClique(n, word_bits=16)
-        array_clique = CongestedClique(n, word_bits=16)
-        tuple_in = tuple_clique.route(outboxes, phase="x")
-        array_in = array_clique.route_array(dests, blocks, phase="x")
-        assert _phases(tuple_clique) == _phases(array_clique)
-        assert tuple_clique.rounds == array_clique.rounds
-        for u in range(n):
-            tuple_srcs = [src for src, _payload in tuple_in[u]]
-            assert tuple_srcs == array_in[u].sources.tolist()
-            tuple_pieces = [payload for _src, payload in tuple_in[u]]
-            assert len(tuple_pieces) == array_in[u].blocks.shape[0]
-            for i, piece in enumerate(tuple_pieces):
-                assert np.array_equal(piece, array_in[u].blocks[i])
+        clique = CongestedClique(n, word_bits=16)
+        array_in = clique.route_array(dests, blocks, phase="x")
+        assert phase_rows(clique.meter) == [
+            oracle_phase(outboxes, n, phase="x", primitive="route")
+        ]
+        for u, box in enumerate(deliver(outboxes, n)):
+            assert [src for src, _payload in box] == array_in[u].sources.tolist()
+            assert len(box) == array_in[u].blocks.shape[0]
+            for (_src, piece), got in zip(box, array_in[u].blocks):
+                assert np.array_equal(piece, got)
 
     @settings(max_examples=8, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
@@ -85,11 +63,11 @@ class TestRouteArrayEquivalence:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
         dests, blocks, outboxes = _random_batch(rng, n, piece_len=2)
-        tuple_clique = CongestedClique(n, word_bits=16, mode=ScheduleMode.EXACT)
-        array_clique = CongestedClique(n, word_bits=16, mode=ScheduleMode.EXACT)
-        tuple_clique.route(outboxes, phase="x")
-        array_clique.route_array(dests, blocks, phase="x")
-        assert _phases(tuple_clique) == _phases(array_clique)
+        clique = CongestedClique(n, word_bits=16, mode=ScheduleMode.EXACT)
+        clique.route_array(dests, blocks, phase="x")
+        assert phase_rows(clique.meter) == [
+            oracle_phase(outboxes, n, phase="x", primitive="route", exact=True)
+        ]
 
     def test_tags_ride_along(self):
         n = 3
@@ -142,16 +120,16 @@ class TestRouteArrayEquivalence:
 class TestBroadcastRowsEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
-    def test_costs_match_tuple_broadcast(self, seed):
+    def test_costs_match_object_broadcast(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 12))
         rows = rng.integers(-1000, 1000, (n, 5)).astype(np.int64)
         widths = [words_for_array(rows[v], 16) for v in range(n)]
-        tuple_clique = CongestedClique(n, word_bits=16)
+        object_clique = CongestedClique(n, word_bits=16)
         array_clique = CongestedClique(n, word_bits=16)
-        received = tuple_clique.broadcast(list(rows), words=widths, phase="b")
+        received = object_clique.broadcast(list(rows), words=widths, phase="b")
         replica = array_clique.broadcast_rows(rows, phase="b")
-        assert _phases(tuple_clique) == _phases(array_clique)
+        assert phase_rows(object_clique.meter) == phase_rows(array_clique.meter)
         assert np.array_equal(replica, np.stack(received[0]))
 
     def test_explicit_widths_respected(self):
@@ -168,16 +146,18 @@ class TestTransposeArrayEquivalence:
         rng = np.random.default_rng(0)
         n = 6
         matrix = rng.integers(-50, 50, (n, n)).astype(np.int64)
-        tuple_clique = CongestedClique(n)
-        array_clique = CongestedClique(n)
-        columns = tuple_clique.transpose(
-            [list(row) for row in matrix], words_per_entry=words_per_entry
-        )
-        transposed = array_clique.transpose_array(
+        clique = CongestedClique(n)
+        transposed = clique.transpose_array(
             matrix, words_per_entry=words_per_entry
         )
-        assert _phases(tuple_clique) == _phases(array_clique)
-        assert np.array_equal(transposed, np.array(columns))
+        # Node v sends entry u of its row to node u (its own entry stays).
+        outboxes = [
+            [(u, matrix[v, u], words_per_entry) for u in range(n)]
+            for v in range(n)
+        ]
+        assert phase_rows(clique.meter) == [
+            oracle_phase(outboxes, n, phase="transpose", primitive="send")
+        ]
         assert np.array_equal(transposed, matrix.T)
 
 

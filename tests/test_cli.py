@@ -124,6 +124,35 @@ class TestCommands:
         out = capsys.readouterr().out
         assert out.strip()
 
+    @pytest.mark.parametrize(
+        "argv,baseline",
+        [
+            (["triangles", "27", "--baseline"], "dolev_triangle_count"),
+            (["four-cycles", "24", "--baseline"], "dolev_four_cycle_detect"),
+        ],
+    )
+    def test_wrong_baseline_answer_fails(self, argv, baseline, monkeypatch, capsys):
+        # The Dolev baseline's answer is verified like the main one: a wrong
+        # baseline must turn the exit status to 1.
+        import repro.baselines
+
+        honest = getattr(repro.baselines, baseline)
+
+        def wrong(graph, **kwargs):
+            result = honest(graph, **kwargs)
+            if isinstance(result.value, bool):
+                result.value = not result.value
+            else:
+                result.value += 1
+            return result
+
+        assert main(argv) == 0
+        monkeypatch.setattr(repro.baselines, baseline, wrong)
+        assert main(argv) == 1
+        assert "verified against centralised oracle: False" in (
+            capsys.readouterr().out
+        )
+
     def test_matmul_prints_meter(self, capsys):
         main(["matmul", "16"])
         out = capsys.readouterr().out

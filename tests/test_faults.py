@@ -320,7 +320,7 @@ class TestFaultyCliquePureInterception:
         ), "an unprotected exchange must actually corrupt"
 
     def test_tuple_primitives_not_intercepted(self):
-        """The tuple paths stay exact -- interception covers array collectives."""
+        """The object broadcast is not intercepted, only array exchanges."""
         faulty = FaultyClique(5, plan=FaultPlan(t=5, seed=0))
         received = faulty.broadcast(list(range(5)), phase="t/tuple")
         assert received[0] == list(range(5))

@@ -112,6 +112,14 @@ class TestScheduleModeNeverChangesAnswers:
         assert fast.value == exact.value
 
 
+def _single_piece(n: int, src: int, dst: int, width: int):
+    """One ``width``-word piece from ``src`` to ``dst``, as array batches."""
+    dests = [np.array([dst] if v == src else [], dtype=np.int64) for v in range(n)]
+    blocks = [np.ones((len(d), 1), dtype=np.int64) for d in dests]
+    widths = [np.full(len(d), width, dtype=np.int64) for d in dests]
+    return dests, blocks, widths
+
+
 class TestWordGranularExactRouting:
     """Fuzz the EXACT router with adversarial width distributions."""
 
@@ -123,40 +131,42 @@ class TestWordGranularExactRouting:
     )
     def test_delivery_and_bounds(self, seed, n, max_width):
         rng = np.random.default_rng(seed)
-        outboxes = [[] for _ in range(n)]
-        sent = []
+        dests, blocks, widths, sent = [], [], [], []
         for v in range(n):
-            for _ in range(int(rng.integers(0, 10))):
-                dst = int(rng.integers(0, n))
-                payload = (v, int(rng.integers(10**6)))
-                width = int(rng.integers(1, max_width + 1))
-                outboxes[v].append((dst, payload, width))
-                sent.append((dst, payload))
+            count = int(rng.integers(0, 10))
+            d = rng.integers(0, n, count).astype(np.int64)
+            payload = rng.integers(10**6, size=count).astype(np.int64)
+            dests.append(d)
+            blocks.append(np.stack([np.full(count, v), payload], axis=1))
+            widths.append(rng.integers(1, max_width + 1, count).astype(np.int64))
+            sent += [(int(d[i]), (v, int(payload[i]))) for i in range(count)]
         clique = CongestedClique(n, mode=ScheduleMode.EXACT)
-        inboxes = clique.route([list(b) for b in outboxes])
+        inboxes = clique.route_array(dests, blocks, widths=widths)
         received = [
-            (dst, payload)
+            (dst, (int(piece[0]), int(piece[1])))
             for dst in range(n)
-            for _src, payload in inboxes[dst]
+            for piece in inboxes[dst].blocks
         ]
         assert sorted(received) == sorted(sent)
 
     def test_single_hot_receiver(self):
         # Every node floods node 0: the classic skew case.
         n = 6
-        outboxes = [[] for _ in range(n)]
-        for v in range(1, n):
-            outboxes[v] = [(0, (v, i), 3) for i in range(7)]
+        dests = [np.zeros(0 if v == 0 else 7, dtype=np.int64) for v in range(n)]
+        blocks = [np.ones((len(d), 1), dtype=np.int64) for d in dests]
+        widths = [np.full(len(d), 3, dtype=np.int64) for d in dests]
         exact = CongestedClique(n, mode=ScheduleMode.EXACT)
-        exact.route([list(b) for b in outboxes])
+        exact.route_array(dests, blocks, widths=widths)
         fast = CongestedClique(n, mode=ScheduleMode.FAST)
-        fast.route([list(b) for b in outboxes])
+        fast.route_array(dests, blocks, widths=widths)
         assert exact.rounds <= 2 * fast.rounds + 2
 
     def test_widths_matter_for_rounds(self):
         n = 6
         thin = CongestedClique(n)
-        thin.route([[(1, "x", 1)] if v == 0 else [] for v in range(n)])
+        dests, blocks, widths = _single_piece(n, 0, 1, 1)
+        thin.route_array(dests, blocks, widths=widths)
         wide = CongestedClique(n)
-        wide.route([[(1, "x", 100)] if v == 0 else [] for v in range(n)])
+        dests, blocks, widths = _single_piece(n, 0, 1, 100)
+        wide.route_array(dests, blocks, widths=widths)
         assert wide.rounds > thin.rounds

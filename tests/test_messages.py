@@ -1,4 +1,4 @@
-"""Unit tests for word-size arithmetic and outbox validation."""
+"""Unit tests for word-size arithmetic and exchange-batch validation."""
 
 from __future__ import annotations
 
@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from repro.clique.messages import (
     default_word_bits,
     int_bits,
-    validate_outboxes,
     words_for_array,
     words_for_value,
 )
+from repro.clique.model import CongestedClique
+from repro.errors import CliqueModelError
 
 
 class TestWordBits:
@@ -90,61 +91,116 @@ class TestWordsForArray:
         assert words_for_array(arr, 16) == 2 * 3
 
 
-class TestValidateOutboxes:
+def _one_piece(src: int, dst: int, piece, n: int = 2):
+    """Array batches in which only node ``src`` ships ``piece`` to ``dst``."""
+    piece = np.asarray(piece)
+    dests = [np.array([dst] if v == src else [], dtype=np.int64) for v in range(n)]
+    blocks = [
+        piece[None] if v == src else np.zeros((0,) + piece.shape, dtype=np.int64)
+        for v in range(n)
+    ]
+    return dests, blocks
+
+
+class TestBatchValidation:
     def test_valid(self):
-        validate_outboxes([[(1, "x", 1)], []], n=2)
+        clique = CongestedClique(2)
+        inboxes = clique.route_array(*_one_piece(0, 1, [7]))
+        assert inboxes[1].blocks.tolist() == [[7]]
 
     def test_wrong_length(self):
-        with pytest.raises(ValueError):
-            validate_outboxes([[]], n=2)
+        with pytest.raises(CliqueModelError):
+            CongestedClique(2).route_array([np.array([1])], [np.ones((1, 1))])
 
     def test_destination_out_of_range(self):
-        with pytest.raises(ValueError):
-            validate_outboxes([[(5, "x", 1)], []], n=2)
+        with pytest.raises(CliqueModelError):
+            CongestedClique(2).route_array(*_one_piece(0, 5, [1]))
 
-    def test_self_message_rejected_by_default(self):
-        with pytest.raises(ValueError):
-            validate_outboxes([[(0, "x", 1)], []], n=2)
-
-    def test_self_message_allowed_when_opted_in(self):
-        validate_outboxes([[(0, "x", 1)], []], n=2, allow_self=True)
+    def test_self_message_is_a_free_local_move(self):
+        clique = CongestedClique(2)
+        inboxes = clique.send_array(*_one_piece(0, 0, [3]))
+        assert clique.rounds == 0
+        assert inboxes[0].blocks.tolist() == [[3]]
 
     def test_nonpositive_width(self):
-        with pytest.raises(ValueError):
-            validate_outboxes([[(1, "x", 0)], []], n=2)
+        dests, blocks = _one_piece(0, 1, [1])
+        widths = [np.array([0]), np.zeros(0, dtype=np.int64)]
+        with pytest.raises(CliqueModelError):
+            CongestedClique(2).route_array(dests, blocks, widths=widths)
 
-    def test_malformed_item(self):
-        with pytest.raises(ValueError):
-            validate_outboxes([[(1, "x")], []], n=2)  # type: ignore[list-item]
+    def test_malformed_batch(self):
+        # One destination but two pieces.
+        dests = [np.array([1]), np.zeros(0, dtype=np.int64)]
+        blocks = [np.ones((2, 1), dtype=np.int64), np.zeros((0, 1), dtype=np.int64)]
+        with pytest.raises(CliqueModelError):
+            CongestedClique(2).route_array(dests, blocks)
 
 
 class TestPayloadHygiene:
-    """PR 6 satellite: malformed payloads die loudly, naming the node."""
+    """Malformed pieces die loudly on every exchange, naming the node."""
 
-    def test_nan_payload_names_node(self):
-        with pytest.raises(ValueError, match="node 1: non-finite payload"):
-            validate_outboxes([[], [(0, float("nan"), 1)]], n=2)
+    @pytest.mark.parametrize("exchange", ["route_array", "send_array"])
+    def test_nan_block_names_node(self, exchange):
+        # Cast to int64 this would arrive as [2, -2**63].
+        dests, blocks = _one_piece(1, 0, [2.7, float("nan")])
+        with pytest.raises(CliqueModelError, match="node 1: float64 blocks"):
+            getattr(CongestedClique(2), exchange)(dests, blocks)
 
-    def test_inf_payload_rejected(self):
-        with pytest.raises(ValueError, match="node 0"):
-            validate_outboxes([[(1, float("inf"), 1)], []], n=2)
+    def test_inf_block_rejected(self):
+        dests, blocks = _one_piece(0, 1, [float("inf")])
+        with pytest.raises(CliqueModelError, match="node 0"):
+            CongestedClique(2).route_array(dests, blocks)
 
-    def test_object_dtype_array_names_node(self):
+    def test_finite_float_block_rejected(self):
+        # No silent truncation of 1.5 to 1 either.
+        dests, blocks = _one_piece(0, 1, [1.5, -2.0])
+        with pytest.raises(CliqueModelError, match="node 0: float64 blocks"):
+            CongestedClique(2).send_array(dests, blocks)
+
+    def test_float_block_rejected_with_explicit_widths(self):
+        dests, blocks = _one_piece(0, 1, [1.5])
+        widths = [np.array([1]), np.zeros(0, dtype=np.int64)]
+        with pytest.raises(CliqueModelError, match="node 0"):
+            CongestedClique(2).route_array(dests, blocks, widths=widths)
+
+    def test_uniform_float_batch_rejected(self):
+        dests = np.array([[1], [0]])
+        blocks = np.ones((2, 1, 2))
+        widths = np.ones((2, 1), dtype=np.int64)
+        with pytest.raises(CliqueModelError, match="float64 blocks"):
+            CongestedClique(2).route_array(dests, blocks, widths=widths)
+
+    def test_complex_block_rejected(self):
+        dests, blocks = _one_piece(0, 1, np.array([1 + 2j]))
+        with pytest.raises(CliqueModelError, match="node 0: complex128"):
+            CongestedClique(2).route_array(dests, blocks)
+
+    def test_object_block_names_node(self):
         bad = np.array([object(), object()], dtype=object)
-        with pytest.raises(ValueError, match="node 1: object-dtype payload"):
-            validate_outboxes([[], [(0, bad, 2)]], n=2)
+        dests, blocks = _one_piece(1, 0, bad)
+        with pytest.raises(CliqueModelError, match="node 1: object blocks"):
+            CongestedClique(2).route_array(dests, blocks)
 
-    def test_nan_array_entries_name_node(self):
-        bad = np.array([1.0, float("nan")])
-        with pytest.raises(ValueError, match="node 0: non-finite entries"):
-            validate_outboxes([[(1, bad, 2)], []], n=2)
-
-    def test_finite_float_arrays_pass(self):
-        validate_outboxes([[(1, np.array([1.5, -2.0]), 2)], []], n=2)
+    @pytest.mark.parametrize(
+        "piece",
+        [
+            np.array([True, False]),
+            np.array([3, -4], dtype=np.int32),
+            np.array([2**63 + 5, 1], dtype=np.uint64),
+        ],
+        ids=["bool", "int32", "packed-uint64"],
+    )
+    def test_word_dtypes_pass(self, piece):
+        clique = CongestedClique(2)
+        inboxes = clique.route_array(*_one_piece(0, 1, piece))
+        # Shipped as int64 words; uint64 bitsets travel bit for bit.
+        assert np.array_equal(inboxes[1].blocks[0], piece.astype(np.int64))
 
     def test_negative_width_names_node(self):
-        with pytest.raises(ValueError, match="node 1: non-positive word count"):
-            validate_outboxes([[], [(0, "x", -3)]], n=2)
+        dests, blocks = _one_piece(1, 0, [1])
+        widths = [np.zeros(0, dtype=np.int64), np.array([-3])]
+        with pytest.raises(CliqueModelError, match="node 1: non-positive word count"):
+            CongestedClique(2).route_array(dests, blocks, widths=widths)
 
 
 class TestBlockWidths:

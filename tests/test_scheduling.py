@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clique.scheduling import (
+    _SCHEDULE_CACHE,
     broadcast_rounds,
     colour_into_matchings,
     direct_rounds,
@@ -117,6 +118,27 @@ class TestRelaySchedule:
         # Power-of-two padding costs at most a factor 2 plus one batch.
         assert schedule.rounds <= 2 * fast + 2
         assert schedule.rounds >= 2  # at least one two-round batch
+
+    def test_schedule_depends_on_the_demand_not_its_pair_order(self):
+        # Regression: the colouring's count of non-empty matchings depends
+        # on the order the pairs are presented in (13 vs 12 here, i.e. 6 vs
+        # 4 rounds), while the memo is keyed on the sorted pairs -- so a
+        # cold build from the caller's order made the cached rounds depend
+        # on which caller happened to build first.
+        n = 6
+        emitted = {
+            (2, 3): 4, (2, 0): 4, (2, 1): 2, (3, 1): 2,
+            (4, 3): 2, (4, 5): 2, (4, 1): 2,
+        }
+        ordered = dict(sorted(emitted.items()))
+        assert len(colour_into_matchings(emitted, n)) != len(
+            colour_into_matchings(ordered, n)
+        )
+        rounds = []
+        for demand in (emitted, ordered):
+            _SCHEDULE_CACHE.clear()
+            rounds.append(relay_schedule(demand, n).rounds)
+        assert rounds[0] == rounds[1]
 
     def test_all_to_one_demand(self):
         n = 8
